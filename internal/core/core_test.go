@@ -80,6 +80,22 @@ func TestToNeighborTables(t *testing.T) {
 	}
 }
 
+func TestSortUnique(t *testing.T) {
+	for _, c := range []struct{ in, want []int64 }{
+		{nil, []int64{}},
+		{[]int64{}, []int64{}},
+		{[]int64{-1 << 62}, []int64{-1 << 62}},
+		{[]int64{3, -1 << 62, 3, math.MinInt64, -1 << 62}, []int64{math.MinInt64, -1 << 62, 3}},
+		{[]int64{-2, 5, -7, 5, -2, 0}, []int64{-7, -2, 0, 5}},
+		{[]int64{4, 4, 4}, []int64{4}},
+	} {
+		in := append([]int64(nil), c.in...)
+		if got := sortUnique(in); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("sortUnique(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
 func TestNumVertices(t *testing.T) {
 	ctx := newTestContext(t)
 	n, err := NumVertices(edgesRDD(ctx, []Edge{{Src: 3, Dst: 9}, {Src: 1, Dst: 2}}, 2))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -146,17 +147,10 @@ func ToWeightedNeighborTables(edges *dataflow.RDD[Edge], parts int) *dataflow.RD
 	})
 }
 
+// sortUnique sorts ns in place and drops duplicates.
 func sortUnique(ns []int64) []int64 {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	out := ns[:0]
-	var prev int64 = -1 << 62
-	for _, n := range ns {
-		if n != prev {
-			out = append(out, n)
-			prev = n
-		}
-	}
-	return out
+	slices.Sort(ns)
+	return slices.Compact(ns)
 }
 
 // sortedIntersectCount counts the common elements of two sorted slices.

@@ -86,8 +86,8 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 	if err != nil {
 		return nil, err
 	}
-	nbrs := ToNeighborTables(edges, parts).Cache()
-	defer nbrs.Unpersist()
+	blocks := edgeBlocks(edges, parts)
+	defer blocks.Unpersist()
 
 	ranksName := ctx.ModelName("pr.ranks")
 	curName := ctx.ModelName("pr.dcur")
@@ -149,37 +149,18 @@ func PageRank(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*Pag
 			}
 		}
 		trace("iter %d start recoveriesBefore=%d", it, recoveriesBefore)
-		err := nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
-			if len(tables) == 0 {
+		err := blocks.ForeachPartition(func(part int, bs []edgeBlock) error {
+			b := &bs[0]
+			if len(b.Srcs) == 0 {
 				return nil
 			}
-			srcs := make([]int64, len(tables))
-			for i, t := range tables {
-				srcs[i] = t.K
-			}
-			deltas, err := cur.Pull(srcs)
+			deltas, err := cur.Pull(b.Srcs)
 			if err != nil {
 				return err
 			}
-			updates := make(map[int64]float64)
-			for i, t := range tables {
-				d := deltas[i]
-				if d <= cfg.DeltaThreshold && d >= -cfg.DeltaThreshold {
-					continue
-				}
-				share := cfg.Damping * d / float64(len(t.V))
-				for _, dst := range t.V {
-					updates[dst] += share
-				}
-			}
-			if len(updates) == 0 {
+			idx, vals := b.scatter(deltas, cfg.Damping, cfg.DeltaThreshold)
+			if len(idx) == 0 {
 				return nil
-			}
-			idx := make([]int64, 0, len(updates))
-			vals := make([]float64, 0, len(updates))
-			for k, v := range updates {
-				idx = append(idx, k)
-				vals = append(vals, v)
 			}
 			return next.PushAdd(idx, vals)
 		})

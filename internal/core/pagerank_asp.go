@@ -96,8 +96,8 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	nbrs := ToNeighborTables(edges, parts).Cache()
-	defer nbrs.Unpersist()
+	blocks := edgeBlocks(edges, parts)
+	defer blocks.Unpersist()
 
 	ranksName := ctx.ModelName("prasp.ranks")
 	deltaName := ctx.ModelName("prasp.delta")
@@ -122,37 +122,22 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 	// still needs a termination detector; this is the usual choice).
 	const sweepsPerPass = 4
 	for pass := 0; pass < cfg.MaxIterations; pass++ {
-		err = nbrs.ForeachPartition(func(part int, tables []dataflow.KV[int64, []int64]) error {
-			if len(tables) == 0 {
+		err = blocks.ForeachPartition(func(part int, bs []edgeBlock) error {
+			b := &bs[0]
+			if len(b.Srcs) == 0 {
 				return nil
 			}
-			srcs := make([]int64, len(tables))
-			for i, t := range tables {
-				srcs[i] = t.K
-			}
 			for sweep := 0; sweep < sweepsPerPass; sweep++ {
-				taken, err := takeVector(ctx, deltaName, deltaMeta, srcs, 0)
+				taken, err := takeVector(ctx, deltaName, deltaMeta, b.Srcs, 0)
 				if err != nil {
 					return err
 				}
-				updates := make(map[int64]float64)
-				rankIdx := make([]int64, 0, len(srcs))
-				rankVal := make([]float64, 0, len(srcs))
-				anyWork := false
-				for i, t := range tables {
-					d := taken[i]
-					if d == 0 {
-						continue
-					}
-					rankIdx = append(rankIdx, srcs[i])
-					rankVal = append(rankVal, d)
-					if d <= cfg.DeltaThreshold && d >= -cfg.DeltaThreshold {
-						continue
-					}
-					anyWork = true
-					share := cfg.Damping * d / float64(len(t.V))
-					for _, dst := range t.V {
-						updates[dst] += share
+				rankIdx := make([]int64, 0, len(b.Srcs))
+				rankVal := make([]float64, 0, len(b.Srcs))
+				for i, d := range taken {
+					if d != 0 {
+						rankIdx = append(rankIdx, b.Srcs[i])
+						rankVal = append(rankVal, d)
 					}
 				}
 				// Taken increments become permanent rank mass immediately.
@@ -161,19 +146,14 @@ func PageRankASP(ctx *Context, edges *dataflow.RDD[Edge], cfg PageRankConfig) (*
 						return err
 					}
 				}
-				if len(updates) > 0 {
-					idx := make([]int64, 0, len(updates))
-					vals := make([]float64, 0, len(updates))
-					for k, v := range updates {
-						idx = append(idx, k)
-						vals = append(vals, v)
-					}
-					if err := delta.PushAdd(idx, vals); err != nil {
-						return err
-					}
-				}
-				if !anyWork {
+				// Every table source has a destination, so an empty scatter
+				// means no increment was above the threshold: quiescent.
+				idx, vals := b.scatter(taken, cfg.Damping, cfg.DeltaThreshold)
+				if len(idx) == 0 {
 					break
+				}
+				if err := delta.PushAdd(idx, vals); err != nil {
+					return err
 				}
 			}
 			return nil

@@ -134,6 +134,18 @@ func (c *Context) Stats() Stats {
 	}
 }
 
+// PersistentBytes returns the bytes charged for cached partitions,
+// summed over executors.
+func (c *Context) PersistentBytes() int64 {
+	var n int64
+	for _, e := range c.execs {
+		e.mu.Lock()
+		n += e.persistent
+		e.mu.Unlock()
+	}
+	return n
+}
+
 // KillExecutor simulates the loss of executor id: every task currently
 // assigned to it fails and is retried on a restarted executor after
 // RestartDelay. Cached partitions held by the executor are dropped (they

@@ -55,6 +55,7 @@ type RDD[T any] struct {
 	caching  bool
 	cached   [][]T
 	cachedSz []int64
+	cachedOn []int // executor charged for each cached partition
 }
 
 // Context returns the RDD's execution context.
@@ -106,10 +107,12 @@ func (r *RDD[T]) materialize(t *Task, part int) ([]T, error) {
 		if r.cached == nil {
 			r.cached = make([][]T, r.parts)
 			r.cachedSz = make([]int64, r.parts)
+			r.cachedOn = make([]int, r.parts)
 		}
 		if r.cached[part] == nil {
 			r.cached[part] = out
 			r.cachedSz[part] = sz
+			r.cachedOn[part] = t.Executor()
 		} else {
 			r.ctx.unpersist(t.Executor(), sz) // lost the race; another task cached it
 		}
@@ -175,20 +178,12 @@ func (r *RDD[T]) Unpersist() {
 	if r.cached == nil {
 		return
 	}
-	var total int64
-	for _, sz := range r.cachedSz {
-		total += sz
-	}
-	// Memory accounting does not track which executor cached which
-	// partition; release round-robin, which keeps pool totals exact.
-	if len(r.ctx.execs) > 0 {
-		per := total / int64(len(r.ctx.execs))
-		for _, e := range r.ctx.execs {
-			r.ctx.unpersist(e.id, per)
-		}
+	for part, sz := range r.cachedSz {
+		r.ctx.unpersist(r.cachedOn[part], sz)
 	}
 	r.cached = nil
 	r.cachedSz = nil
+	r.cachedOn = nil
 }
 
 // Parallelize distributes data across parts partitions.
