@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -231,7 +232,10 @@ func TestPartitionByColocatesKeys(t *testing.T) {
 	}
 	p := PartitionBy(Parallelize(ctx, kvs, 5), 3)
 	seen := map[int64]int{} // key -> partition
+	var mu sync.Mutex       // partitions run as concurrent tasks
 	err := p.ForeachPartition(func(part int, in []KV[int64, int]) error {
+		mu.Lock()
+		defer mu.Unlock()
 		for _, kv := range in {
 			if prev, ok := seen[kv.K]; ok && prev != part {
 				return fmt.Errorf("key %d in partitions %d and %d", kv.K, prev, part)

@@ -922,25 +922,30 @@ func (e *Emb) Pull(ids []int64) (map[int64][]float64, error) {
 
 func (e *Emb) pullMeta(meta ModelMeta, ids []int64) (map[int64][]float64, error) {
 	out := make(map[int64][]float64, len(ids))
-	var mu sync.Mutex
 	if meta.Kind == ColumnEmbedding {
-		for _, id := range ids {
-			out[id] = make([]float64, meta.Dim)
-		}
+		// Every partition answers every id with its column slice; each
+		// writes its own columns of the shared block, so no lock.
+		dim := meta.Dim
+		block := make([]float64, len(ids)*dim)
 		err := e.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
 			var r embPullResp
 			if err := e.c.partInvoke(cancel, meta.Name, p.Index, p.Server, "EmbPull", embPullReq{Model: meta.Name, Part: p.Index, IDs: ids}, &r); err != nil {
 				return err
 			}
-			mu.Lock()
-			for id, vals := range r.Vecs {
-				copy(out[id][p.Col0:p.Col1], vals)
+			w := p.Col1 - p.Col0
+			if err := checkEmbBlock(meta.Name, p.Index, r.Vals, len(ids), w); err != nil {
+				return err
 			}
-			mu.Unlock()
+			for k := range ids {
+				copy(block[k*dim+p.Col0:k*dim+p.Col1], r.Vals[k*w:(k+1)*w])
+			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
+		}
+		for k, id := range ids {
+			out[id] = block[k*dim : (k+1)*dim : (k+1)*dim]
 		}
 		return out, nil
 	}
@@ -949,6 +954,7 @@ func (e *Emb) pullMeta(meta ModelMeta, ids []int64) (map[int64][]float64, error)
 		pi := meta.PartitionFor(id)
 		byPart[pi] = append(byPart[pi], id)
 	}
+	blocks := make([][]float64, len(meta.Parts))
 	err := e.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
 		if len(byPart[i]) == 0 {
 			return nil
@@ -957,17 +963,34 @@ func (e *Emb) pullMeta(meta ModelMeta, ids []int64) (map[int64][]float64, error)
 		if err := e.c.partInvoke(cancel, meta.Name, p.Index, p.Server, "EmbPull", embPullReq{Model: meta.Name, Part: p.Index, IDs: byPart[i]}, &r); err != nil {
 			return err
 		}
-		mu.Lock()
-		for id, vals := range r.Vecs {
-			out[id] = vals
+		if err := checkEmbBlock(meta.Name, p.Index, r.Vals, len(byPart[i]), meta.Dim); err != nil {
+			return err
 		}
-		mu.Unlock()
+		blocks[i] = r.Vals
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	w := meta.Dim
+	for i, pids := range byPart {
+		vals := blocks[i]
+		for k, id := range pids {
+			// Cap-limited, so appending to one row cannot overwrite the next.
+			out[id] = vals[k*w : (k+1)*w : (k+1)*w]
+		}
+	}
 	return out, nil
+}
+
+// checkEmbBlock rejects an EmbPull block that does not hold exactly n
+// rows of width w, so a short or mismatched reply errors instead of
+// panicking on the slicing that follows.
+func checkEmbBlock(model string, part int, vals []float64, n, w int) error {
+	if len(vals) != n*w {
+		return fmt.Errorf("ps: EmbPull %s partition %d returned %d values, want %d ids × width %d", model, part, len(vals), n, w)
+	}
+	return nil
 }
 
 func (e *Emb) push(vecs map[int64][]float64, grad, set bool) error {
@@ -1082,8 +1105,9 @@ func (n *Nbr) pushMeta(meta ModelMeta, tables map[int64][]int64, depth int) erro
 	})
 }
 
-// Pull fetches neighbor tables for the given ids; vertices with no
-// neighbors are omitted.
+// Pull fetches neighbor tables for the given ids. Ids that have no
+// table are omitted; an id whose table is present but empty maps to an
+// empty slice.
 func (n *Nbr) Pull(ids []int64) (map[int64][]int64, error) {
 	meta := n.c.currentMeta(n.Meta.Name, n.Meta)
 	for attempt := 0; ; attempt++ {
@@ -1101,27 +1125,48 @@ func (n *Nbr) pullMeta(meta ModelMeta, ids []int64) (map[int64][]int64, error) {
 		pi := meta.PartitionFor(id)
 		byPart[pi] = append(byPart[pi], id)
 	}
-	out := make(map[int64][]int64, len(ids))
-	var mu sync.Mutex
+	resps := make([]nbrPullResp, len(meta.Parts))
 	err := n.c.fanOut(meta.Parts, func(i int, p Partition, cancel <-chan struct{}) error {
 		if len(byPart[i]) == 0 {
 			return nil
 		}
-		var r nbrPullResp
-		if err := n.c.partInvoke(cancel, meta.Name, p.Index, p.Server, "NbrPull", nbrPullReq{Model: meta.Name, Part: p.Index, IDs: byPart[i]}, &r); err != nil {
-			return err
-		}
-		mu.Lock()
-		for id, ns := range r.Tables {
-			out[id] = ns
-		}
-		mu.Unlock()
-		return nil
+		return n.c.partInvoke(cancel, meta.Name, p.Index, p.Server, "NbrPull", nbrPullReq{Model: meta.Name, Part: p.Index, IDs: byPart[i]}, &resps[i])
 	})
 	if err != nil {
 		return nil, err
 	}
+	out := make(map[int64][]int64, len(ids))
+	for i, pids := range byPart {
+		if err := splitNbrBlock(out, pids, resps[i]); err != nil {
+			return nil, fmt.Errorf("ps: NbrPull %s partition %d: %w", meta.Name, meta.Parts[i].Index, err)
+		}
+	}
 	return out, nil
+}
+
+// splitNbrBlock hands out the tables of a positional NbrPull block as
+// cap-limited subslices of r.Nbrs, keyed by the ids the block answers.
+// Lens must match ids one to one and account for Nbrs exactly.
+func splitNbrBlock(out map[int64][]int64, ids []int64, r nbrPullResp) error {
+	if len(r.Lens) != len(ids) {
+		return fmt.Errorf("%d table lengths for %d ids", len(r.Lens), len(ids))
+	}
+	off := int64(0)
+	for k, id := range ids {
+		l := r.Lens[k]
+		if l == -1 {
+			continue
+		}
+		if l < 0 || l > int64(len(r.Nbrs))-off {
+			return fmt.Errorf("table length %d of id %d overruns %d neighbors at offset %d", l, id, len(r.Nbrs), off)
+		}
+		out[id] = r.Nbrs[off : off+l : off+l]
+		off += l
+	}
+	if off != int64(len(r.Nbrs)) {
+		return fmt.Errorf("%d trailing neighbors", int64(len(r.Nbrs))-off)
+	}
+	return nil
 }
 
 // Mat is a handle to a DenseMatrix model (e.g. GNN layer weights).

@@ -122,8 +122,11 @@ type embPullReq struct {
 	IDs   []int64
 }
 
+// embPullResp carries the pulled rows in request order as one flat
+// block: row i of the request is Vals[i*w:(i+1)*w], where w is the
+// partition's stored width (Dim, or Col1-Col0 for a column partition).
 type embPullResp struct {
-	Vecs map[int64][]float64
+	Vals []float64
 }
 
 type embPushReq struct {
@@ -148,8 +151,12 @@ type nbrPullReq struct {
 	IDs   []int64
 }
 
+// nbrPullResp carries the pulled tables in request order, concatenated
+// into Nbrs. Lens[i] is the length of id i's table, or -1 when the id
+// has none (absent, as opposed to present but empty).
 type nbrPullResp struct {
-	Tables map[int64][]int64
+	Lens []int64
+	Nbrs []int64
 }
 
 type matPullReq struct {

@@ -152,7 +152,7 @@ func TestSealedNeighborExportStaysSealed(t *testing.T) {
 		t.Fatalf("import: %v", err)
 	}
 	de := dst.(*nbrEngine)
-	if got := de.csrLookup(1); !reflect.DeepEqual(got, []int64{2, 3}) {
+	if got, _ := de.csrLookup(1); !reflect.DeepEqual(got, []int64{2, 3}) {
 		t.Fatalf("csrLookup(1) = %v, want [2 3]", got)
 	}
 }

@@ -146,10 +146,11 @@ func (sh *embShard) rowLocked(id int64, ri *rowIniter) []float64 {
 	return row
 }
 
-// pull copies the requested rows out. Fast path: every shard is read
-// under RLock; only shards holding rows that are not materialized yet
-// upgrade to the write lock (and re-check, since a racing pull may have
-// initialized them in between). Under the single-lock compat mode the
+// pull copies the requested rows, in request order, into one flat
+// block (row i at Vals[i*w:(i+1)*w]). Fast path: each row is read under
+// its shard's RLock; a row that is not materialized yet upgrades to the
+// write lock (rowLocked re-checks, since a racing pull may have
+// initialized it in between). Under the single-lock compat mode the
 // whole request runs under one exclusive lock, as the old server did.
 func (e *embEngine) pull(req embPullReq) (embPullResp, error) {
 	for _, id := range req.IDs {
@@ -157,68 +158,37 @@ func (e *embEngine) pull(req embPullReq) (embPullResp, error) {
 			return embPullResp{}, err
 		}
 	}
-	out := make(map[int64][]float64, len(req.IDs))
+	w := e.width()
+	vals := make([]float64, len(req.IDs)*w)
 	ri := e.initer()
 	if e.single {
 		sh := &e.shards[0]
 		sh.mu.Lock()
-		for _, id := range req.IDs {
-			src := sh.rowLocked(id, &ri)
-			cp := make([]float64, len(src))
-			copy(cp, src)
-			out[id] = cp
+		for i, id := range req.IDs {
+			copy(vals[i*w:(i+1)*w], sh.rowLocked(id, &ri))
 		}
 		sh.mu.Unlock()
-		e.hot.bump(req.IDs)
-		return embPullResp{Vecs: out}, nil
-	}
-	groups := e.groupIDs(req.IDs)
-	for si, ids := range groups {
-		if len(ids) == 0 {
-			continue
-		}
-		sh := &e.shards[si]
-		var missing []int64
-		sh.mu.RLock()
-		for _, id := range ids {
-			if src, ok := sh.rows[id]; ok {
-				cp := make([]float64, len(src))
-				copy(cp, src)
-				out[id] = cp
-			} else {
-				missing = append(missing, id)
+	} else {
+		for i, id := range req.IDs {
+			dst := vals[i*w : (i+1)*w]
+			sh := e.shard(id)
+			sh.mu.RLock()
+			src, ok := sh.rows[id]
+			copy(dst, src)
+			sh.mu.RUnlock()
+			if !ok {
+				sh.mu.Lock()
+				copy(dst, sh.rowLocked(id, &ri))
+				sh.mu.Unlock()
 			}
 		}
-		sh.mu.RUnlock()
-		if len(missing) == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		for _, id := range missing {
-			src := sh.rowLocked(id, &ri)
-			cp := make([]float64, len(src))
-			copy(cp, src)
-			out[id] = cp
-		}
-		sh.mu.Unlock()
 	}
 	e.hot.bump(req.IDs)
-	return embPullResp{Vecs: out}, nil
+	return embPullResp{Vals: vals}, nil
 }
 
 // hotTop exposes the engine's pull-frequency head for LoadReport.
 func (e *embEngine) hotTop(k int) []HotKey { return e.hot.top(k) }
-
-// groupIDs buckets ids by shard index.
-func (e *embEngine) groupIDs(ids []int64) [][]int64 {
-	groups := make([][]int64, len(e.shards))
-	for _, id := range ids {
-		h := uint64(id) * 0x9e3779b97f4a7c15
-		si := (h >> 32) % uint64(len(e.shards))
-		groups[si] = append(groups[si], id)
-	}
-	return groups
-}
 
 // push applies one add/set/gradient request. Widths are validated for
 // the whole request before any row (or the Adam step counter) mutates,

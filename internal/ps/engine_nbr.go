@@ -54,6 +54,9 @@ func restoreNbrEngine(base engineBase, snap ckptSnapshot) *nbrEngine {
 	return e
 }
 
+// pull returns the requested tables in request order, concatenated
+// (see nbrPullResp). The first pass sizes Nbrs exactly, the second
+// copies into it.
 func (e *nbrEngine) pull(req nbrPullReq) (nbrPullResp, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -62,25 +65,36 @@ func (e *nbrEngine) pull(req nbrPullReq) (nbrPullResp, error) {
 			return nbrPullResp{}, err
 		}
 	}
-	out := make(map[int64][]int64, len(req.IDs))
+	lens := make([]int64, len(req.IDs))
+	total := 0
+	for i, id := range req.IDs {
+		ns, ok := e.tableLocked(id)
+		if !ok {
+			lens[i] = -1
+			continue
+		}
+		lens[i] = int64(len(ns))
+		total += len(ns)
+	}
+	nbrs := make([]int64, 0, total)
+	for i, id := range req.IDs {
+		if lens[i] > 0 {
+			ns, _ := e.tableLocked(id)
+			nbrs = append(nbrs, ns...)
+		}
+	}
+	return nbrPullResp{Lens: lens, Nbrs: nbrs}, nil
+}
+
+// tableLocked returns id's table in either lifecycle state; ok is false
+// when the id has no table (as opposed to an empty one). Callers hold
+// e.mu.
+func (e *nbrEngine) tableLocked(id int64) (ns []int64, ok bool) {
 	if e.state == nbrSealed {
-		for _, id := range req.IDs {
-			if ns := e.csrLookup(id); ns != nil {
-				cp := make([]int64, len(ns))
-				copy(cp, ns)
-				out[id] = cp
-			}
-		}
-		return nbrPullResp{Tables: out}, nil
+		return e.csrLookup(id)
 	}
-	for _, id := range req.IDs {
-		if ns, ok := e.nbr[id]; ok {
-			cp := make([]int64, len(ns))
-			copy(cp, ns)
-			out[id] = cp
-		}
-	}
-	return nbrPullResp{Tables: out}, nil
+	ns, ok = e.nbr[id]
+	return ns, ok
 }
 
 func (e *nbrEngine) push(req nbrPushReq) error {
@@ -100,15 +114,15 @@ func (e *nbrEngine) push(req nbrPushReq) error {
 	return nil
 }
 
-// csrLookup returns the adjacency of id from the CSR form, or nil.
-// Callers hold e.mu.
-func (e *nbrEngine) csrLookup(id int64) []int64 {
+// csrLookup returns the adjacency of id from the CSR form; ok is false
+// when id has no table. Callers hold e.mu.
+func (e *nbrEngine) csrLookup(id int64) (ns []int64, ok bool) {
 	n := len(e.csrIDs)
 	i := sort.Search(n, func(i int) bool { return e.csrIDs[i] >= id })
 	if i >= n || e.csrIDs[i] != id {
-		return nil
+		return nil, false
 	}
-	return e.csrAdj[e.csrOff[i]:e.csrOff[i+1]]
+	return e.csrAdj[e.csrOff[i]:e.csrOff[i+1]], true
 }
 
 // lockMap acquires the write lock and exposes the build-form adjacency
@@ -124,34 +138,10 @@ func (e *nbrEngine) lockMap() (m map[int64][]int64, unlock func()) {
 func (e *nbrEngine) seal() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.state == nbrSealed {
-		return int64(len(e.csrIDs))
+	if e.state != nbrSealed {
+		e.sealMapLocked(e.nbr)
 	}
-	ids := make([]int64, 0, len(e.nbr))
-	var total int
-	for id, ns := range e.nbr {
-		ids = append(ids, id)
-		total += len(ns)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.csrIDs = ids
-	e.csrOff = make([]int64, len(ids)+1)
-	e.csrAdj = make([]int64, 0, total)
-	for i, id := range ids {
-		ns := e.nbr[id]
-		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-		var prev int64 = -1 << 62
-		for _, x := range ns {
-			if x != prev {
-				e.csrAdj = append(e.csrAdj, x)
-				prev = x
-			}
-		}
-		e.csrOff[i+1] = int64(len(e.csrAdj))
-	}
-	e.nbr = nil
-	e.state = nbrSealed
-	return int64(len(ids))
+	return int64(len(e.csrIDs))
 }
 
 func (e *nbrEngine) checkpointData() []byte {

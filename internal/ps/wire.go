@@ -44,10 +44,10 @@ const (
 	msgMapPullResp
 	msgMapPushReq
 	msgEmbPullReq
-	msgEmbPullResp
+	_ // retired: map-shaped EmbPull response
 	msgEmbPushReq
 	msgNbrPullReq
-	msgNbrPullResp
+	_ // retired: map-shaped NbrPull response
 	msgNbrPushReq
 	msgMatPullReq
 	msgMatPullResp
@@ -55,6 +55,11 @@ const (
 	msgFuncReq
 	msgFuncResp
 	msgReplicateReq
+	// The pull responses are request-ordered flat blocks. They took new
+	// ids when they replaced the map-shaped responses, so a peer still
+	// speaking the old format fails to decode instead of misreading.
+	msgEmbPullResp
+	msgNbrPullResp
 )
 
 // binaryWire selects the hot-path format. On (the default) hot messages
@@ -443,13 +448,13 @@ func binSizeHint(v any) int {
 	case embPullReq:
 		return 32 + len(m.Model) + 10*len(m.IDs)
 	case embPullResp:
-		return 16 + mapVecsHint(m.Vecs)
+		return 16 + 8*len(m.Vals)
 	case embPushReq:
 		return 32 + len(m.Model) + mapVecsHint(m.Vecs)
 	case nbrPullReq:
 		return 32 + len(m.Model) + 10*len(m.IDs)
 	case nbrPullResp:
-		return 16 + mapI64sHint(m.Tables)
+		return 32 + 10*(len(m.Lens)+len(m.Nbrs))
 	case nbrPushReq:
 		return 32 + len(m.Model) + mapI64sHint(m.Tables)
 	case matPullReq:
@@ -515,7 +520,7 @@ func encBinary(v any) ([]byte, bool) {
 		b = appendI64s(b, m.IDs)
 	case embPullResp:
 		b = append(b, msgEmbPullResp)
-		b = appendMapVecs(b, m.Vecs)
+		b = appendF64s(b, m.Vals)
 	case embPushReq:
 		b = append(b, msgEmbPushReq)
 		b = appendStr(b, m.Model)
@@ -530,7 +535,8 @@ func encBinary(v any) ([]byte, bool) {
 		b = appendI64s(b, m.IDs)
 	case nbrPullResp:
 		b = append(b, msgNbrPullResp)
-		b = appendMapI64s(b, m.Tables)
+		b = appendI64s(b, m.Lens)
+		b = appendI64s(b, m.Nbrs)
 	case nbrPushReq:
 		b = append(b, msgNbrPushReq)
 		b = appendStr(b, m.Model)
@@ -638,7 +644,7 @@ func decBinary(data []byte, v any) error {
 	case *embPullResp:
 		want = msgEmbPullResp
 		if id == want {
-			m.Vecs = r.mapVecs()
+			m.Vals = r.f64s()
 		}
 	case *embPushReq:
 		want = msgEmbPushReq
@@ -659,7 +665,8 @@ func decBinary(data []byte, v any) error {
 	case *nbrPullResp:
 		want = msgNbrPullResp
 		if id == want {
-			m.Tables = r.mapI64s()
+			m.Lens = r.i64s()
+			m.Nbrs = r.i64s()
 		}
 	case *nbrPushReq:
 		want = msgNbrPushReq

@@ -86,10 +86,15 @@ func hotMessages() []any {
 		mapPullResp{M: nil},
 		mapPushReq{Model: "sv", Part: 4, M: map[int64]float64{9: -1}, Set: true},
 		embPullReq{Model: "emb", Part: 2, IDs: []int64{1, 2, 3}},
-		embPullResp{Vecs: map[int64][]float64{5: {1, 2, nan}, -6: {}, 7: nil}},
+		embPullResp{Vals: []float64{1, 2, nan, inf, math.Inf(-1), math.Copysign(0, -1)}},
+		embPullResp{Vals: []float64{}},
+		embPullResp{Vals: nil},
 		embPushReq{Model: "emb", Part: 0, Vecs: map[int64][]float64{1: {0.5, -0.5}}, Grad: true, Set: false},
 		nbrPullReq{Model: "nbr", Part: 1, IDs: []int64{4, 5}},
-		nbrPullResp{Tables: map[int64][]int64{1: {2, 3}, 4: {}, 5: nil}},
+		nbrPullResp{Lens: []int64{2, -1, 0, 1}, Nbrs: []int64{3, -2, 1 << 40}},
+		nbrPullResp{Lens: []int64{-1, 0}, Nbrs: []int64{}},
+		nbrPullResp{Lens: []int64{}, Nbrs: nil},
+		nbrPullResp{Lens: nil, Nbrs: nil},
 		nbrPushReq{Model: "nbr", Part: 0, Tables: map[int64][]int64{8: {9}}},
 		matPullReq{Model: "w", Part: 6},
 		matPullResp{Col0: 2, Col1: 5, Data: []float64{nan, 1, 2, 3, 4, 5}},
